@@ -1,21 +1,22 @@
 //! Inference fast-path benchmark: measures each layer of the speedup
-//! stack — tiled/SIMD GEMM microkernels, int8 quantized inference, KV
-//! prefix-reused continuation scoring, chunked prefill decoding, and
-//! parallel benchmark evaluation — against the historical
-//! implementations, and writes `results/inference_fast.json`.
+//! stack — the SIMD GEMM kernel against the naive loops, int8 quantized
+//! inference, KV prefix-reused continuation scoring, chunked prefill
+//! decoding, and parallel benchmark evaluation — against the historical
+//! algorithms, and writes `results/inference_fast.json`. Every model
+//! stage runs on the production GEMM dispatch; only the GEMM table calls
+//! the naive and SIMD kernels directly.
 //!
 //! Stages of the end-to-end comparison (a Table-2-style eval pass):
 //!
-//! 1. baseline: naive GEMM, full-forward continuation scoring,
-//!    token-by-token prompt ingestion, serial items;
-//! 2. +tiled GEMM (same scoring path);
-//! 3. +KV prefix reuse and chunked prefill (serial items);
-//! 4. +parallel item evaluation (all cores);
-//! 5. +int8 quantized frozen weights (parallel).
+//! 1. baseline: full-forward continuation scoring, token-by-token prompt
+//!    ingestion, serial items;
+//! 2. +KV prefix reuse and chunked prefill (serial items);
+//! 3. +parallel item evaluation (all cores);
+//! 4. +int8 quantized frozen weights (parallel).
 //!
 //! Exits non-zero if a perf gate fails: the SIMD kernel must clear a
 //! minimum speedup over naive (2x at 256³ full, 1.2x at 128³ quick),
-//! int8 decode must not lose to f32 SIMD decode, and the quantized
+//! int8 decode must not lose to f32 decode, and the quantized
 //! Table-2-style metrics must stay within `QUANT_ACC_TOL` /
 //! `QUANT_KS_TOL` of the f32 run.
 
@@ -25,10 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zg_bench::{quick_mode, write_result};
 use zg_model::{CausalLm, ModelConfig};
-use zg_tensor::{
-    available_threads, gemm_naive, gemm_simd, gemm_tiled, gemm_with_threads, set_gemm_kernel,
-    simd_available, GemmKernel, QuantizedMatrix,
-};
+use zg_tensor::{available_threads, gemm_naive, gemm_simd, simd_available, QuantizedMatrix};
 use zg_tokenizer::Special;
 use zg_zigong::{
     eval_items, evaluate_classifier, evaluate_zigong, train_tokenizer, CreditClassifier, EvalItem,
@@ -78,7 +76,6 @@ fn gemm_section(quick: bool) -> serde_json::Value {
             (128, 768, 64),
         ]
     };
-    let threads = available_threads();
     let mut rows = Vec::new();
     for &(m, n, k) in shapes {
         let a = mat(1, m * k);
@@ -88,14 +85,6 @@ fn gemm_section(quick: bool) -> serde_json::Value {
         let t_naive = time_call(|| {
             c.iter_mut().for_each(|v| *v = 0.0);
             gemm_naive(false, false, m, n, k, &a, &b, &mut c);
-        });
-        let t_tiled = time_call(|| {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c);
-        });
-        let t_threaded = time_call(|| {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_with_threads(false, false, m, n, k, &a, &b, &mut c, threads);
         });
         let t_simd = time_call(|| {
             c.iter_mut().for_each(|v| *v = 0.0);
@@ -108,27 +97,20 @@ fn gemm_section(quick: bool) -> serde_json::Value {
         let mut qc = vec![0.0f32; m * n];
         let t_quant = time_call(|| qb.matmul_into(&a, m, &mut qc));
         println!(
-            "gemm {m}x{n}x{k}: naive {:.2} GF/s, tiled {:.2} GF/s ({:.2}x), simd {:.2} GF/s ({:.2}x), int8 {:.2} GF/s ({:.2}x), threaded({threads}) {:.2} GF/s",
+            "gemm {m}x{n}x{k}: naive {:.2} GF/s, simd {:.2} GF/s ({:.2}x), int8 {:.2} GF/s ({:.2}x)",
             flops / t_naive / 1e9,
-            flops / t_tiled / 1e9,
-            t_naive / t_tiled,
             flops / t_simd / 1e9,
             t_naive / t_simd,
             flops / t_quant / 1e9,
             t_naive / t_quant,
-            flops / t_threaded / 1e9,
         );
         rows.push(serde_json::json!({
             "m": m, "n": n, "k": k,
             "naive_gflops": flops / t_naive / 1e9,
-            "tiled_gflops": flops / t_tiled / 1e9,
             "simd_gflops": flops / t_simd / 1e9,
             "quant_gflops": flops / t_quant / 1e9,
-            "threaded_gflops": flops / t_threaded / 1e9,
-            "tiled_speedup": t_naive / t_tiled,
             "simd_speedup": t_naive / t_simd,
             "quant_speedup": t_naive / t_quant,
-            "threads": threads,
         }));
     }
     serde_json::Value::Array(rows)
@@ -237,8 +219,7 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
         .collect();
     let new_tokens = if quick { 16 } else { 48 };
     let mut rng = StdRng::seed_from_u64(3);
-    // Old: step-per-prompt-token ingestion, naive GEMM.
-    set_gemm_kernel(GemmKernel::Naive);
+    // Old: step-per-prompt-token ingestion.
     let t_old = time_call(|| {
         let mut cache = m.lm.new_cache();
         let mut logits = Vec::new();
@@ -250,21 +231,13 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
             logits = m.lm.step(next, &mut cache);
         }
     });
-    // New: chunked prefill + tiled/threaded GEMM.
-    set_gemm_kernel(GemmKernel::Auto);
+    // New: chunked prefill, f32 weights.
     let t_new = time_call(|| {
         let _ =
             m.lm.generate(&prompt, new_tokens, 0.0, Special::Eos.id(), &mut rng);
     });
-    // f32 SIMD: the same decode pinned to the AVX2 kernel (falls back to
-    // the portable path on non-x86 hosts).
-    set_gemm_kernel(GemmKernel::Simd);
-    let t_simd = time_call(|| {
-        let _ =
-            m.lm.generate(&prompt, new_tokens, 0.0, Special::Eos.id(), &mut rng);
-    });
     // int8: quantize the frozen base weights in place (linear layers run
-    // the quantized path; everything else stays on the SIMD kernel).
+    // the quantized path; everything else stays on the f32 kernels).
     let calibrated = m.set_quantized(true);
     assert!(calibrated > 0, "bench model must be frozen for int8 decode");
     let t_quant = time_call(|| {
@@ -272,38 +245,33 @@ fn decode_section(m: &ZiGongModel, quick: bool) -> serde_json::Value {
             m.lm.generate(&prompt, new_tokens, 0.0, Special::Eos.id(), &mut rng);
     });
     m.set_quantized(false);
-    set_gemm_kernel(GemmKernel::Auto);
     let total = (prompt.len() + new_tokens) as f64;
     println!(
-        "decode ({} prompt + {new_tokens} new): old {:.1} tok/s, new {:.1} tok/s ({:.2}x), f32 simd {:.1} tok/s, int8 {:.1} tok/s ({:.2}x vs simd)",
+        "decode ({} prompt + {new_tokens} new): old {:.1} tok/s, new {:.1} tok/s ({:.2}x), int8 {:.1} tok/s ({:.2}x vs f32)",
         prompt.len(),
         total / t_old,
         total / t_new,
         t_old / t_new,
-        total / t_simd,
         total / t_quant,
-        t_simd / t_quant,
+        t_new / t_quant,
     );
     serde_json::json!({
         "prompt_tokens": prompt.len(),
         "new_tokens": new_tokens,
         "old_tok_per_s": total / t_old,
         "new_tok_per_s": total / t_new,
-        "simd_tok_per_s": total / t_simd,
         "quant_tok_per_s": total / t_quant,
         "speedup": t_old / t_new,
-        "quant_vs_simd_speedup": t_simd / t_quant,
+        "quant_vs_f32_speedup": t_new / t_quant,
         "quantized_layers": calibrated,
     })
 }
 
 fn scoring_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::Value {
     let sample = &items[0];
-    set_gemm_kernel(GemmKernel::Naive);
     let t_old = time_call(|| {
         let _ = score_old(m, sample);
     });
-    set_gemm_kernel(GemmKernel::Auto);
     let t_new = time_call(|| {
         let _ = m.positive_probability(&sample.example);
     });
@@ -319,6 +287,18 @@ fn scoring_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::Value
         "new_ms_per_item": t_new * 1e3,
         "speedup": t_old / t_new,
     })
+}
+
+/// Run `f` twice and keep the faster pass (rejects scheduler noise,
+/// which at miniature scale can exceed the stage deltas), returning its
+/// seconds and the last pass's result.
+fn best_of_2<R>(mut f: impl FnMut() -> R) -> (f64, R) {
+    let t = Instant::now();
+    f();
+    let first = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let r = f();
+    (t.elapsed().as_secs_f64().min(first), r)
 }
 
 fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::Value {
@@ -338,65 +318,34 @@ fn table2_eval_section(m: &ZiGongModel, items: &[EvalItem<'_>]) -> serde_json::V
             "acc": acc,
         }));
     };
-    // Each stage runs twice; keep the faster pass (rejects scheduler
-    // noise, which at miniature scale can exceed the stage deltas).
-    let run = |f: &mut dyn FnMut() -> f64| {
-        let a = {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        };
-        let t = Instant::now();
-        let acc = f();
-        (t.elapsed().as_secs_f64().min(a), acc)
-    };
-
     // Warm up allocators and instruction caches before the first timing.
-    set_gemm_kernel(GemmKernel::Naive);
     let _ = evaluate_classifier(&mut OldPath(m), &items[..2.min(items.len())]);
 
-    let (t_base, acc_base) = run(&mut || evaluate_classifier(&mut OldPath(m), items).eval.acc);
+    let (t_base, baseline) = best_of_2(|| evaluate_classifier(&mut OldPath(m), items));
     push(
-        "naive gemm + full-forward scoring (serial)",
+        "full-forward scoring (serial)",
         t_base,
         t_base,
-        acc_base,
+        baseline.eval.acc,
     );
 
-    set_gemm_kernel(GemmKernel::Auto);
-    let (t_tiled, acc_tiled) = run(&mut || evaluate_classifier(&mut OldPath(m), items).eval.acc);
-    push(
-        "auto gemm (simd on avx2) + full-forward scoring (serial)",
-        t_tiled,
-        t_base,
-        acc_tiled,
-    );
-
-    let (t_kv, acc_kv) = run(&mut || evaluate_zigong(m, items, 1).eval.acc);
-    push("auto gemm + kv prefix reuse (serial)", t_kv, t_base, acc_kv);
+    let (t_kv, kv) = best_of_2(|| evaluate_zigong(m, items, 1));
+    push("kv prefix reuse (serial)", t_kv, t_base, kv.eval.acc);
 
     let workers = available_threads();
-    let (t_par, _) = run(&mut || evaluate_zigong(m, items, 0).eval.acc);
-    let baseline = {
-        set_gemm_kernel(GemmKernel::Naive);
-        let r = evaluate_classifier(&mut OldPath(m), items);
-        set_gemm_kernel(GemmKernel::Auto);
-        r
-    };
-    let par = evaluate_zigong(m, items, 0);
+    let (t_par, par) = best_of_2(|| evaluate_zigong(m, items, 0));
     push(
-        "auto gemm + kv prefix reuse + parallel eval",
+        "kv prefix reuse + parallel eval",
         t_par,
         t_base,
         par.eval.acc,
     );
 
-    // Stage 5: int8 quantized frozen weights on the full parallel path.
-    // Unlike stages 1-4 (bit-identical by contract), quantization *is*
+    // Stage 4: int8 quantized frozen weights on the full parallel path.
+    // Unlike stages 1-3 (bit-identical by contract), quantization *is*
     // lossy — the gate below bounds the Table-2-style metric drift.
     let quant_layers = m.set_quantized(true);
-    let (t_quant, _) = run(&mut || evaluate_zigong(m, items, 0).eval.acc);
-    let quant = evaluate_zigong(m, items, 0);
+    let (t_quant, quant) = best_of_2(|| evaluate_zigong(m, items, 0));
     m.set_quantized(false);
     push(
         "int8 quantized + kv prefix reuse + parallel eval",
@@ -488,7 +437,6 @@ fn main() {
     let decode = decode_section(&model, quick);
     let scoring = scoring_section(&model, &items);
     let table2 = table2_eval_section(&model, &items);
-    set_gemm_kernel(GemmKernel::Auto);
 
     let (acc_tol, ks_tol) = quant_metric_tolerance(quick);
     let gate_dim: usize = if quick { 128 } else { 256 };
@@ -497,7 +445,7 @@ fn main() {
     let gates_obj = serde_json::json!({
         "simd_gate_shape": gate_dim,
         "simd_min_speedup": simd_min_speedup,
-        "quant_decode_min_vs_simd": quant_decode_min_ratio,
+        "quant_decode_min_vs_f32": quant_decode_min_ratio,
         "quant_acc_tol": acc_tol,
         "quant_ks_tol": ks_tol,
     });
@@ -532,10 +480,10 @@ fn main() {
             failed = true;
         }
         let quant_tok = table_f64(&decode, "quant_tok_per_s");
-        let simd_tok = table_f64(&decode, "simd_tok_per_s");
-        if quant_tok < simd_tok * quant_decode_min_ratio {
+        let f32_tok = table_f64(&decode, "new_tok_per_s");
+        if quant_tok < f32_tok * quant_decode_min_ratio {
             println!(
-                "FAIL: int8 decode {quant_tok:.1} tok/s does not clear f32 simd {simd_tok:.1} tok/s (need >= {quant_decode_min_ratio:.1}x)"
+                "FAIL: int8 decode {quant_tok:.1} tok/s does not clear f32 {f32_tok:.1} tok/s (need >= {quant_decode_min_ratio:.1}x)"
             );
             failed = true;
         }

@@ -1,9 +1,8 @@
 //! Training fast-path benchmark: end-to-end `train_sft` throughput of
-//! the current engine (bit-identical op fast paths, tensor buffer
-//! pooling, fused clip+AdamW, reshape-free SFT loss, optional
-//! data-parallel gradient accumulation) against the historical serial
-//! loop (op fast paths and pool disabled, three-pass clip + step,
-//! reshape-copied logits), plus the trainer's phase-timing profile and
+//! the current engine (tensor buffer pooling, fused clip+AdamW,
+//! reshape-free SFT loss, optional data-parallel gradient accumulation)
+//! against the historical serial loop (pool disabled, three-pass clip +
+//! step, reshape-copied logits), plus the trainer's phase-timing profile and
 //! the bit-identity checks the fast path guarantees. Writes
 //! `results/training_fast.json`.
 //!
@@ -25,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use zg_bench::{quick_mode, write_result};
 use zg_model::{clip_grad_norm, AdamW, CausalLm, CosineSchedule, ModelConfig};
-use zg_tensor::{available_threads, pool_stats, set_op_fast_paths, set_pool_enabled, Tensor};
+use zg_tensor::{available_threads, pool_stats, set_pool_enabled, Tensor};
 use zg_zigong::{
     collate, tokenize_all, train_sft_profiled, train_tokenizer, Sample, TrainConfig, TrainOrder,
 };
@@ -166,11 +165,8 @@ fn main() {
     // switches, so stage ordering doesn't bias the comparison.
     let reps = if quick { 1 } else { 3 };
 
-    // --- 1. Legacy serial loop: pool off, op fast paths off (strided
-    // broadcast/permute kernels, dead-gradient GEMMs computed and
-    // discarded), reshape loss, 3-pass update.
+    // --- 1. Legacy serial loop: pool off, reshape loss, 3-pass update.
     let was_enabled = set_pool_enabled(false);
-    let was_fast = set_op_fast_paths(false);
     let mut legacy_s = f64::INFINITY;
     let mut legacy_losses = Vec::new();
     for _ in 0..reps {
@@ -179,7 +175,6 @@ fn main() {
         legacy_losses = train_sft_legacy(&lm_legacy, &samples, &cfg, seed);
         legacy_s = legacy_s.min(t0.elapsed().as_secs_f64());
     }
-    set_op_fast_paths(was_fast);
     set_pool_enabled(was_enabled);
     println!(
         "legacy serial: {legacy_s:.2}s ({:.2} samples/s, best of {reps})",
@@ -217,8 +212,8 @@ fn main() {
     );
 
     // Per-step losses must match the legacy loop exactly: the fused
-    // optimizer, the pool, the reshape-free loss, and every op fast
-    // path are all bit-transparent.
+    // optimizer, the pool and the reshape-free loss are all
+    // bit-transparent.
     let loss_parity = legacy_losses == fast.losses;
     if !loss_parity {
         println!("WARNING: fast-path losses diverge from the legacy loop");

@@ -318,6 +318,23 @@ mod tests {
         assert_eq!(names.len(), 4); // 2 layers × (A, B)
     }
 
+    /// Log-probability of `continuation` after `prompt` from one
+    /// grad-mode full forward (always the exact f32 path).
+    fn grad_mode_score(lm: &CausalLm, prompt: &[u32], continuation: &[u32]) -> f32 {
+        let seq: Vec<u32> = prompt.iter().chain(continuation).copied().collect();
+        let logits = lm.forward(&seq, 1, seq.len());
+        let lp = logits.data();
+        let v = lm.cfg.vocab_size;
+        continuation
+            .iter()
+            .enumerate()
+            .map(|(i, &tok)| {
+                let pos = prompt.len() + i - 1;
+                zg_model::log_prob_row(&lp[pos * v..(pos + 1) * v], tok as usize)
+            })
+            .sum()
+    }
+
     #[test]
     fn quantize_frozen_base_close_to_f32_with_exact_adapters() {
         let mut lm = tiny_lm(15);
@@ -330,9 +347,12 @@ mod tests {
                 p.set_data(&d);
             }
         }
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        zg_tensor::set_quantized_inference(prev);
+        // Grad-mode forward for the f32 baseline: it never takes the int8
+        // path, so it holds under ZG_QUANT=1 (lazy auto-calibration) too.
+        let f32_score = grad_mode_score(&lm, &[1, 2, 5], &[3, 7]);
+        // Without the env override the no_grad path is f32 until calibrated.
+        let f32_nograd =
+            (!zg_tensor::quant_env_enabled()).then(|| lm.score_continuation(&[1, 2, 5], &[3, 7]));
         let calibrated = quantize_frozen_base(&lm);
         // 2 layers × (q,k,v,o + gate,up,down) + lm_head = 15.
         assert_eq!(calibrated, 15);
@@ -346,12 +366,9 @@ mod tests {
         // Under ZG_QUANT=1 the next no_grad forward would lazily
         // re-calibrate by design, so the restores-f32 check only holds
         // without the env override.
-        if !zg_tensor::quant_env_enabled() {
+        if let Some(f32_nograd) = f32_nograd {
             let back = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-            let prev = zg_tensor::set_quantized_inference(false);
-            let f32_again = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-            zg_tensor::set_quantized_inference(prev);
-            assert_eq!(back, f32_again, "dequantize must restore the f32 path");
+            assert_eq!(back, f32_nograd, "dequantize must restore the f32 path");
         }
     }
 

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 
 use rand::Rng;
-use zg_tensor::{grad_enabled, no_grad, quant_env_enabled, quantized_inference, Tensor};
+use zg_tensor::{grad_enabled, no_grad, quant_env_enabled, Tensor};
 
 /// A LoRA adapter attached to a [`Linear`]: `y += scale · (x·A)·B`.
 ///
@@ -124,12 +124,11 @@ impl Linear {
         self.quant.borrow().is_some()
     }
 
-    /// The quantized dispatch gate: engages only under `no_grad`, with the
-    /// thread knob on, and with a fresh calibration (recalibrating when the
-    /// weight mutated since; lazily calibrating frozen weights under
-    /// `ZG_QUANT=1`).
+    /// The quantized dispatch gate: engages only under `no_grad` and with
+    /// a fresh calibration (recalibrating when the weight mutated since;
+    /// lazily calibrating frozen weights under `ZG_QUANT=1`).
     fn try_forward_quantized(&self, x: &Tensor) -> Option<Tensor> {
-        if grad_enabled() || !quantized_inference() {
+        if grad_enabled() {
             return None;
         }
         let stale = match self.quant.borrow().as_ref() {
@@ -290,11 +289,9 @@ mod tests {
         l.adapter = Some(Adapter { a, b, scale: 0.5 });
         l.weight.set_requires_grad(false); // frozen base
         let x = Tensor::randn([3, 16], 0.0, 1.0, &mut rng);
-        // Pin the knob off for the f32 baseline so the test also holds
-        // under a ZG_QUANT=1 environment (lazy auto-calibration).
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        zg_tensor::set_quantized_inference(prev);
+        // The grad-mode forward never takes the int8 path, so it is the
+        // f32 baseline even under ZG_QUANT=1 (lazy auto-calibration).
+        let f32_out = l.forward(&x).to_vec();
         assert!(l.set_quantized(true));
         assert!(l.is_quantized());
         let q_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
@@ -306,10 +303,16 @@ mod tests {
         // Outside no_grad the exact f32 path still runs (bit-identical).
         let grad_out = l.forward(&x).to_vec();
         assert_eq!(grad_out, f32_out, "grad-mode forward must stay exact f32");
+        // ...and it is the f32 no_grad path bit for bit.
+        l.set_quantized(false);
+        if !zg_tensor::quant_env_enabled() {
+            let nograd_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
+            assert_eq!(nograd_out, f32_out, "no_grad f32 path must match grad mode");
+        }
     }
 
     #[test]
-    fn quantized_linear_respects_knob_and_freeze() {
+    fn quantized_linear_respects_grad_mode_and_freeze() {
         let mut rng = StdRng::seed_from_u64(8);
         let l = Linear::new(8, 8, &mut rng);
         // Trainable weight: calibration refused.
@@ -319,10 +322,8 @@ mod tests {
         assert!(l.set_quantized(true));
         let x = Tensor::ones([2, 8]);
         let q_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        // Knob off: exact f32 even with a calibration attached.
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_out = zg_tensor::no_grad(|| l.forward(&x).to_vec());
-        zg_tensor::set_quantized_inference(prev);
+        // Grad mode: exact f32 even with a calibration attached.
+        let f32_out = l.forward(&x).to_vec();
         let exact = zg_tensor::no_grad(|| {
             let mut y = x.matmul(&l.weight);
             if let Some(b) = &l.bias {

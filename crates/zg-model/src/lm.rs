@@ -502,16 +502,32 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-3, "total prob {total}");
     }
 
+    /// Log-probability of `continuation` after `prompt` from one
+    /// grad-mode full forward (always the exact f32 path).
+    fn grad_mode_score(lm: &CausalLm, prompt: &[u32], continuation: &[u32]) -> f32 {
+        let seq: Vec<u32> = prompt.iter().chain(continuation).copied().collect();
+        let logits = lm.forward(&seq, 1, seq.len());
+        let lp = logits.data();
+        let v = lm.cfg.vocab_size;
+        continuation
+            .iter()
+            .enumerate()
+            .map(|(i, &tok)| {
+                let pos = prompt.len() + i - 1;
+                log_prob_row(&lp[pos * v..(pos + 1) * v], tok as usize)
+            })
+            .sum()
+    }
+
     #[test]
     fn quantized_model_scores_close_to_f32() {
         let lm = tiny_lm();
         for (_, p) in lm.params() {
             p.set_requires_grad(false);
         }
-        // Pin the knob off for the f32 baseline (robust under ZG_QUANT=1).
-        let prev = zg_tensor::set_quantized_inference(false);
-        let f32_score = lm.score_continuation(&[1, 2, 5], &[3, 7]);
-        zg_tensor::set_quantized_inference(prev);
+        // Grad-mode forward for the f32 baseline: it never takes the int8
+        // path, so it holds under ZG_QUANT=1 (lazy auto-calibration) too.
+        let f32_score = grad_mode_score(&lm, &[1, 2, 5], &[3, 7]);
         let calibrated = lm.set_quantized(true);
         // q/k/v/o + gate/up/down per block + lm_head; tiny_lm has 1 block.
         assert_eq!(calibrated, 8);

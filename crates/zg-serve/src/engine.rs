@@ -46,7 +46,6 @@ use std::thread::JoinHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zg_model::{KvCache, PrefixBlock, PrefixPool, PrefixStats};
-use zg_tensor::GemmKernel;
 use zg_tokenizer::Special;
 use zg_trace::Clock;
 use zg_zigong::{two_way_probability, ZiGongModel, ZiGongSpec, ANSWER_TOKENS, SCORE_RESERVE};
@@ -89,12 +88,6 @@ pub struct EngineConfig {
     /// prefixes are evicted LRU-first once their summed token length
     /// exceeds this (leased entries are never evicted).
     pub pool_budget_tokens: usize,
-    /// GEMM kernel pinned on each replica's serving thread (worker
-    /// threads own the setting for life; the inline engine pins the
-    /// calling thread when the replica is built). Defaults to the
-    /// process-wide [`zg_tensor::default_gemm_kernel`], which honors the
-    /// `ZG_GEMM_KERNEL` environment knob.
-    pub kernel: GemmKernel,
     /// Serve with int8 quantized inference on frozen base weights. Each
     /// replica calibrates after rebuilding from the spec; calibration is
     /// a pure function of the weights, so replicas stay bit-identical to
@@ -107,7 +100,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             pool_budget_tokens: 4096,
-            kernel: zg_tensor::default_gemm_kernel(),
             quantized: false,
         }
     }
@@ -133,10 +125,6 @@ struct Replica {
 
 impl Replica {
     fn new(spec: &ZiGongSpec, cfg: &EngineConfig) -> Replica {
-        // Pin the GEMM kernel for this replica's serving thread. Worker
-        // replicas are built on their own thread, so the thread-local
-        // setting is private to them; the inline replica pins the caller.
-        zg_tensor::set_gemm_kernel(cfg.kernel);
         let model = spec.build();
         if cfg.quantized {
             model.set_quantized(true);

@@ -26,7 +26,6 @@
 //! ```
 
 mod autograd;
-mod fastpath;
 mod gradcheck;
 mod init;
 mod leak;
@@ -44,19 +43,15 @@ mod simd;
 mod store;
 mod tensor;
 
-pub use fastpath::{op_fast_paths, set_op_fast_paths};
 pub use gradcheck::{gradcheck, GradCheckReport};
 pub use init::randn_sample;
 pub use leak::{live_tape_nodes, GraphLeakGuard};
-pub use ops_matmul::{
-    available_threads, default_gemm_kernel, gemm, gemm_kernel, gemm_naive, gemm_tiled,
-    gemm_with_threads, set_gemm_kernel, GemmKernel,
-};
+pub use ops_matmul::{available_threads, gemm, gemm_naive};
 pub use pool::{
     clear_pool, live_pooled_buffers, pool_stats, pool_stats_scope, reset_pool_stats,
     set_pool_enabled, PoolStats, PoolStatsScope, PooledBuf,
 };
-pub use quant::{quant_env_enabled, quantized_inference, set_quantized_inference, QuantizedMatrix};
+pub use quant::{quant_env_enabled, QuantizedMatrix};
 pub use shape::{Shape, StridedIter};
 pub use simd::{gemm_simd, gemm_simd_with_threads, simd_available};
 pub use store::TensorStore;

@@ -61,16 +61,10 @@ fn broadcast_forward(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> (Ve
     let ad = a.data();
     let bd = b.data();
     let mut out = crate::pool::take_cleared(n);
-    let (pa, pb) = if *a.shape() == out_shape && *b.shape() == out_shape {
-        (BcPlan::Full, BcPlan::Full)
-    } else if crate::fastpath::op_fast_paths() {
-        (
-            bc_plan(a.shape(), &out_shape),
-            bc_plan(b.shape(), &out_shape),
-        )
-    } else {
-        (BcPlan::Strided, BcPlan::Strided)
-    };
+    let (pa, pb) = (
+        bc_plan(a.shape(), &out_shape),
+        bc_plan(b.shape(), &out_shape),
+    );
     // Every arm visits output positions in ascending order and applies `f`
     // to the exact operand pair the strided fallback would — the plans only
     // replace per-element index arithmetic with slicing.
@@ -148,14 +142,14 @@ fn grad_full_target(
                 }
             }
         }
-        // INVARIANT: callers dispatch Strided to the reference loop.
+        // INVARIANT: callers dispatch Strided to the general strided loop.
         BcPlan::Strided => unreachable!("strided plan reached the sliced kernel"),
     }
 }
 
 /// Sliced gradient accumulation when the *target* operand broadcasts per
 /// plan `pt` and the other operand is output-shaped. Contributions land in
-/// the same ascending-output order as the reference loop, so the f32
+/// the same ascending-output order as the general strided loop, so the f32
 /// accumulation sequence per slot is unchanged.
 fn grad_bcast_target(
     gt: &mut [f32],
@@ -186,7 +180,7 @@ fn grad_bcast_target(
             }
         }
         // INVARIANT: callers dispatch Full targets to `grad_full_target`
-        // and Strided plans to the reference loop.
+        // and Strided plans to the general strided loop.
         _ => unreachable!("full/strided target in broadcast-side kernel"),
     }
 }
@@ -206,11 +200,7 @@ fn broadcast_backward(
     let ad = a.data();
     let bd = b.data();
     let out_shape = out.shape();
-    let (pa, pb) = if crate::fastpath::op_fast_paths() {
-        (bc_plan(a.shape(), out_shape), bc_plan(b.shape(), out_shape))
-    } else {
-        (BcPlan::Strided, BcPlan::Strided)
-    };
+    let (pa, pb) = (bc_plan(a.shape(), out_shape), bc_plan(b.shape(), out_shape));
     // The sliced kernels need at least one output-shaped operand so the
     // other side can be addressed by slice; they also skip a parent whose
     // gradient buffer would be discarded (e.g. the additive attention mask).

@@ -24,65 +24,61 @@ fn trailing_run(dims: &[usize], strides: &[usize]) -> (usize, usize) {
 }
 
 /// Gather `data` into `out` following `(dims, strides)` in ascending output
-/// order. With fast paths on, trailing contiguous runs are copied as slices
-/// and a trailing 2-D transpose is gathered blockwise; both visit exactly
-/// the offsets of the strided reference loop, in the same order.
+/// order. Trailing contiguous runs are copied as slices and a trailing 2-D
+/// transpose is gathered blockwise; both visit exactly the offsets of the
+/// general strided loop, in the same order.
 fn gather_into(out: &mut Vec<f32>, data: &[f32], dims: &[usize], strides: &[usize]) {
-    if crate::fastpath::op_fast_paths() {
-        let (split, run) = trailing_run(dims, strides);
-        if run > 1 {
-            for o in StridedIter::new(&dims[..split], &strides[..split]) {
-                out.extend_from_slice(&data[o..o + run]);
-            }
-            return;
+    let (split, run) = trailing_run(dims, strides);
+    if run > 1 {
+        for o in StridedIter::new(&dims[..split], &strides[..split]) {
+            out.extend_from_slice(&data[o..o + run]);
         }
-        let rank = dims.len();
-        if rank >= 2 && strides[rank - 2] == 1 && strides[rank - 1] == dims[rank - 2] {
-            // Trailing transpose: each base block is a contiguous R×C
-            // matrix read column-major (e.g. `t()` for attention scores).
-            let (rn, cn) = (dims[rank - 2], dims[rank - 1]);
-            for base in StridedIter::new(&dims[..rank - 2], &strides[..rank - 2]) {
-                let block = &data[base..base + rn * cn];
-                for r in 0..rn {
-                    out.extend((0..cn).map(|c| block[c * rn + r]));
-                }
+        return;
+    }
+    let rank = dims.len();
+    if rank >= 2 && strides[rank - 2] == 1 && strides[rank - 1] == dims[rank - 2] {
+        // Trailing transpose: each base block is a contiguous R×C
+        // matrix read column-major (e.g. `t()` for attention scores).
+        let (rn, cn) = (dims[rank - 2], dims[rank - 1]);
+        for base in StridedIter::new(&dims[..rank - 2], &strides[..rank - 2]) {
+            let block = &data[base..base + rn * cn];
+            for r in 0..rn {
+                out.extend((0..cn).map(|c| block[c * rn + r]));
             }
-            return;
         }
+        return;
     }
     out.extend(StridedIter::new(dims, strides).map(|o| data[o]));
 }
 
 /// Scatter-add `g` back through the same mapping: `gx[offset] += g[i]`.
 /// Offsets repeat across outer steps when `strides` contains broadcast
-/// zeros; both fast arms preserve the reference loop's ascending-`i`
+/// zeros; both fast arms preserve the general loop's ascending-`i`
 /// accumulation order per slot, so sums are bit-identical.
 fn scatter_add(gx: &mut [f32], g: &[f32], dims: &[usize], strides: &[usize]) {
-    if crate::fastpath::op_fast_paths() {
-        let (split, run) = trailing_run(dims, strides);
-        if run > 1 {
-            for (i, o) in StridedIter::new(&dims[..split], &strides[..split]).enumerate() {
-                for (dst, &v) in gx[o..o + run].iter_mut().zip(&g[i * run..(i + 1) * run]) {
-                    *dst += v;
+    let (split, run) = trailing_run(dims, strides);
+    if run > 1 {
+        for (i, o) in StridedIter::new(&dims[..split], &strides[..split]).enumerate() {
+            for (dst, &v) in gx[o..o + run].iter_mut().zip(&g[i * run..(i + 1) * run]) {
+                *dst += v;
+            }
+        }
+        return;
+    }
+    let rank = dims.len();
+    if rank >= 2 && strides[rank - 2] == 1 && strides[rank - 1] == dims[rank - 2] {
+        let (rn, cn) = (dims[rank - 2], dims[rank - 1]);
+        let outer = StridedIter::new(&dims[..rank - 2], &strides[..rank - 2]);
+        for (bi, base) in outer.enumerate() {
+            let gb = &g[bi * rn * cn..(bi + 1) * rn * cn];
+            let block = &mut gx[base..base + rn * cn];
+            for r in 0..rn {
+                for c in 0..cn {
+                    block[c * rn + r] += gb[r * cn + c];
                 }
             }
-            return;
         }
-        let rank = dims.len();
-        if rank >= 2 && strides[rank - 2] == 1 && strides[rank - 1] == dims[rank - 2] {
-            let (rn, cn) = (dims[rank - 2], dims[rank - 1]);
-            let outer = StridedIter::new(&dims[..rank - 2], &strides[..rank - 2]);
-            for (bi, base) in outer.enumerate() {
-                let gb = &g[bi * rn * cn..(bi + 1) * rn * cn];
-                let block = &mut gx[base..base + rn * cn];
-                for r in 0..rn {
-                    for c in 0..cn {
-                        block[c * rn + r] += gb[r * cn + c];
-                    }
-                }
-            }
-            return;
-        }
+        return;
     }
     for (i, o) in StridedIter::new(dims, strides).enumerate() {
         gx[o] += g[i];

@@ -20,7 +20,6 @@
 //! adjacent `(k, k+1)` int8 weight pair by the matching activation pair
 //! and adds horizontally).
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Quantized panel width (output columns per packed panel): two AVX2
@@ -31,23 +30,6 @@ const NRQ: usize = 16;
 /// 127·127 needs `k ≤ i32::MAX / 127²` ≈ 133k; real shapes here are
 /// ≤ a few thousand.
 const MAX_K: usize = 1 << 17;
-
-thread_local! {
-    static QUANTIZED_INFERENCE: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Whether quantized inference is enabled on this thread (default true;
-/// only takes effect for layers that actually hold a calibrated int8
-/// copy of their weights, and never under [`crate::grad_enabled`]).
-pub fn quantized_inference() -> bool {
-    QUANTIZED_INFERENCE.with(|q| q.get())
-}
-
-/// Enable/disable quantized inference on this thread. Returns the
-/// previous value so scopes can restore it.
-pub fn set_quantized_inference(on: bool) -> bool {
-    QUANTIZED_INFERENCE.with(|q| q.replace(on))
-}
 
 /// Whether `ZG_QUANT=1` is set (read once): opt-in for *lazy
 /// auto-calibration* of eligible inference weights, used by CI to force
@@ -372,15 +354,5 @@ mod tests {
         let mut out = vec![0.0f32; n];
         q.matmul_into(&vec![0.0f32; k], 1, &mut out);
         assert_eq!(out, vec![0.0f32; n], "zero activations must emit zeros");
-    }
-
-    #[test]
-    fn knob_round_trips() {
-        assert!(quantized_inference(), "default must be enabled");
-        let prev = set_quantized_inference(false);
-        assert!(prev);
-        assert!(!quantized_inference());
-        set_quantized_inference(true);
-        assert!(quantized_inference());
     }
 }

@@ -16,18 +16,21 @@
 //! 8-lane vector registers, seeds it from the destination tile, and adds
 //! `a[p][i]·b[p][j]` products with **separate multiply and add** (never
 //! FMA) in ascending-`p` order. Every output element therefore sees
-//! exactly the float-operation sequence of the naive and tiled kernels:
-//! `c[i][j] + x₀ + x₁ + …` with ascending-`k` products — so the SIMD
-//! kernel is **bit-identical** to [`crate::gemm_tiled`] for every shape,
-//! transpose flag, and initial `c`, and bit-identical to
-//! [`crate::gemm_naive`] in the same cases the tiled kernel is (all
-//! call sites in this workspace). Lane parallelism runs across output
-//! *columns*, which are independent accumulators — no reassociation.
+//! exactly the float-operation sequence `c[i][j] + x₀ + x₁ + …` with
+//! ascending-`k` products — so the kernel is **bit-identical** to a
+//! scalar per-element loop seeded from `c` for every shape, transpose
+//! flag, and initial `c` (the tests keep such a loop as their oracle),
+//! and bit-identical to [`crate::gemm_naive`] whenever `c` starts at
+//! zero or `tb = false` (all call sites in this workspace). Lane
+//! parallelism runs across output *columns*, which are independent
+//! accumulators — no reassociation.
 //!
 //! On x86-64 the microkernel is AVX2 intrinsics behind a runtime CPUID
 //! check; everywhere else (and for edge tiles narrower than the full
 //! 8×8) a portable per-lane loop computes the identical per-element
 //! operation sequence, so results do not depend on which path ran.
+//! This kernel is the only f32 GEMM besides the naive loops: on non-AVX2
+//! hosts the portable loop does all the work.
 
 use crate::pool;
 
@@ -271,8 +274,8 @@ pub(crate) fn gemm_simd_rows(
 }
 
 /// Single-threaded SIMD GEMM (`c += op(a)·op(b)`), any shape. Bit-exact
-/// vs [`crate::gemm_tiled`] always, and vs [`crate::gemm_naive`] under
-/// the same accumulation contract (see module docs).
+/// vs [`crate::gemm_naive`] under the accumulation contract in the
+/// module docs.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_simd(
     ta: bool,
@@ -336,7 +339,7 @@ pub fn gemm_simd_with_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops_matmul::{gemm_naive, gemm_tiled};
+    use crate::ops_matmul::gemm_naive;
 
     fn mat(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -348,6 +351,32 @@ mod tests {
                 ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5
             })
             .collect()
+    }
+
+    /// Scalar oracle: per element, seed from `c` and add the products in
+    /// ascending `k` (multiply, then add — never fused).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_reference(
+        ta: bool,
+        tb: bool,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = c[i * n + j];
+                for p in 0..k {
+                    let av = if ta { a[p * m + i] } else { a[i * k + p] };
+                    let bv = if tb { b[j * k + p] } else { b[p * n + j] };
+                    acc += av * bv;
+                }
+                c[i * n + j] = acc;
+            }
+        }
     }
 
     #[test]
@@ -371,10 +400,9 @@ mod tests {
     }
 
     #[test]
-    fn simd_bit_exact_vs_tiled_all_variants_nonzero_c() {
-        // Strongest contract: simd == tiled bitwise for every transpose
-        // pair even when accumulating into non-zero c (both kernels seed
-        // their accumulators from c and add ascending-k products).
+    fn simd_bit_exact_vs_reference_all_variants_nonzero_c() {
+        // Strongest contract: bitwise equal to the c-seeded ascending-k
+        // oracle for every transpose pair, accumulating into non-zero c.
         let (m, n, k) = (21, 19, 67);
         let seed = mat(5, m * n);
         for ta in [false, true] {
@@ -383,9 +411,9 @@ mod tests {
                 let b = mat(4, k * n);
                 let mut c0 = seed.clone();
                 let mut c1 = seed.clone();
-                gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c0);
+                gemm_reference(ta, tb, m, n, k, &a, &b, &mut c0);
                 gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
-                assert_eq!(c0, c1, "({ta},{tb}) simd must match tiled bitwise");
+                assert_eq!(c0, c1, "({ta},{tb}) simd must match the oracle bitwise");
             }
         }
     }
@@ -407,17 +435,48 @@ mod tests {
     #[test]
     fn kc_block_boundary_exact() {
         // k straddling the KC=256 boundary exercises multi-block
-        // accumulation into c.
+        // accumulation into c, for all four transpose variants.
         for k in [255, 256, 257, 512, 513] {
             let (m, n) = (9, 11);
             let a = mat(1, m * k);
             let b = mat(2, k * n);
             let seed = mat(3, m * n);
-            let mut c0 = seed.clone();
-            let mut c1 = seed.clone();
-            gemm_tiled(false, false, m, n, k, &a, &b, &mut c0);
-            gemm_simd(false, false, m, n, k, &a, &b, &mut c1);
-            assert_eq!(c0, c1, "k={k} must be bit-exact across KC blocks");
+            for ta in [false, true] {
+                for tb in [false, true] {
+                    let mut c0 = seed.clone();
+                    let mut c1 = seed.clone();
+                    gemm_reference(ta, tb, m, n, k, &a, &b, &mut c0);
+                    gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
+                    assert_eq!(
+                        c0, c1,
+                        "k={k} ({ta},{tb}) must be bit-exact across KC blocks"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn edge_kernel_matches_avx2_on_full_tiles() {
+        // The portable kernel is the whole GEMM on non-AVX2 hosts; pin it
+        // to the AVX2 microkernel on full 8×8 tiles, seeded from non-zero c.
+        if !simd_available() {
+            return;
+        }
+        let ldc = NR + 3; // row stride wider than the tile
+        for kc in [1, 7, 8, 255, 256] {
+            let ap = mat(kc as u64, kc * MR);
+            let bp = mat(kc as u64 + 100, kc * NR);
+            let seed = mat(kc as u64 + 200, MR * ldc);
+            let mut c_edge = seed.clone();
+            let mut c_avx = seed;
+            mk_edge(kc, &ap, &bp, &mut c_edge, ldc, MR, NR);
+            // SAFETY: AVX2 checked above; `ap`/`bp` hold `kc·MR`/`kc·NR`
+            // floats and `c_avx` holds a full 8-row tile at stride `ldc`.
+            unsafe { mk8x8_avx2(kc, ap.as_ptr(), bp.as_ptr(), c_avx.as_mut_ptr(), ldc) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c_edge), bits(&c_avx), "kc={kc}: edge kernel diverged");
         }
     }
 }

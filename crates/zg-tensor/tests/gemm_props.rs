@@ -1,6 +1,7 @@
-//! Property tests pinning the tiled and SIMD GEMM microkernels to the
-//! naive reference over random shapes — including odd, non-tile- and
-//! non-lane-multiple `m, n, k` — and all four transpose variants, plus
+//! Property tests pinning the SIMD GEMM kernel — the only f32 kernel
+//! besides the naive loops — to the naive reference and to a scalar
+//! oracle over random shapes, including odd, non-tile- and
+//! non-lane-multiple `m, n, k`, and all four transpose variants, plus
 //! the int8 quantized kernel against its scalar reference.
 //!
 //! Contract under test:
@@ -8,22 +9,19 @@
 //! * every variant agrees with the naive kernel within a relative
 //!   tolerance for arbitrary shapes and a non-zero initial `c`;
 //! * the `tb = false` variants (sequential accumulation in the naive
-//!   loops) and *all* variants starting from `c = 0` are **bit-exact**,
-//!   because the tiled/SIMD kernels seed their accumulator tiles from
-//!   `c` and add products in the same ascending-`k` order;
-//! * the SIMD kernel is bit-identical to the tiled kernel in **all**
-//!   cases (identical per-element float-op order; AVX2 lanes are
-//!   independent output columns with no reassociation);
-//! * the row-threaded dispatches (tiled and SIMD) are bit-identical to
-//!   serial for every worker count (each worker owns a disjoint
-//!   MR-aligned row range);
+//!   loops) and *all* variants starting from `c = 0` are **bit-exact**
+//!   vs naive, because the kernel seeds its accumulator tiles from `c`
+//!   and adds products in the same ascending-`k` order;
+//! * the kernel is bit-identical to `gemm_reference` — per element,
+//!   seed from `c` and add products in ascending `k` — in **all** cases
+//!   (AVX2 lanes are independent output columns with no reassociation);
+//! * the row-threaded dispatch is bit-identical to serial for every
+//!   worker count (each worker owns a disjoint MR-aligned row range);
 //! * the int8 AVX2 path is bit-identical to the scalar int8 reference
 //!   (integer accumulation is exact; the dequant expression is shared).
 
 use proptest::prelude::*;
-use zg_tensor::{
-    gemm_naive, gemm_simd, gemm_simd_with_threads, gemm_tiled, gemm_with_threads, QuantizedMatrix,
-};
+use zg_tensor::{gemm, gemm_naive, gemm_simd, gemm_simd_with_threads, QuantizedMatrix};
 
 /// Max |x-y| scaled by magnitude over a result pair.
 fn max_rel_err(x: &[f32], y: &[f32]) -> f32 {
@@ -33,34 +31,37 @@ fn max_rel_err(x: &[f32], y: &[f32]) -> f32 {
         .fold(0.0, f32::max)
 }
 
+/// Scalar oracle: per element, seed from `c` and add the products in
+/// ascending `k` (multiply, then add — never fused).
+#[allow(clippy::too_many_arguments)]
+fn gemm_reference(
+    ta: bool,
+    tb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = c[i * n + j];
+            for p in 0..k {
+                let av = if ta { a[p * m + i] } else { a[i * k + p] };
+                let bv = if tb { b[j * k + p] } else { b[p * n + j] };
+                acc += av * bv;
+            }
+            c[i * n + j] = acc;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn tiled_matches_naive_all_variants(
-        m in 1..40usize,
-        n in 1..40usize,
-        k in 1..40usize,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-        seed in 0u64..1000,
-    ) {
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i as f32 + seed as f32) * 0.61).sin())
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i as f32 * 1.37) + seed as f32).cos())
-            .collect();
-        let mut c0 = vec![0.0f32; m * n];
-        let mut c1 = vec![0.0f32; m * n];
-        gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
-        // From c = 0 every variant accumulates in the same order.
-        prop_assert_eq!(&c0, &c1);
-    }
-
-    #[test]
-    fn tiled_matches_naive_with_accumulation(
+    fn simd_matches_naive_with_accumulation(
         m in 1..40usize,
         n in 1..40usize,
         k in 1..40usize,
@@ -73,7 +74,7 @@ proptest! {
         let mut c0 = seed_c.clone();
         let mut c1 = seed_c;
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
+        gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         if !tb {
             // Sequential naive accumulation: bit-exact even into non-zero c.
             prop_assert_eq!(&c0, &c1);
@@ -103,26 +104,27 @@ proptest! {
         let mut c0 = vec![0.0f32; m * n];
         let mut c1 = vec![0.0f32; m * n];
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c1);
+        gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         prop_assert_eq!(&c0, &c1);
     }
 
     #[test]
-    fn threaded_rows_bit_identical(
-        m in 1..40usize,
-        n in 1..40usize,
-        k in 1..40usize,
-        threads in 2usize..9,
+    fn dispatch_matches_naive_from_zero_all_variants(
+        m in 1..48usize,
+        n in 1..48usize,
+        k in 1..48usize,
         ta in any::<bool>(),
         tb in any::<bool>(),
     ) {
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.91).sin()).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.47).cos()).collect();
-        let mut serial = vec![0.0f32; m * n];
-        let mut par = vec![0.0f32; m * n];
-        gemm_with_threads(ta, tb, m, n, k, &a, &b, &mut serial, 1);
-        gemm_with_threads(ta, tb, m, n, k, &a, &b, &mut par, threads);
-        prop_assert_eq!(&serial, &par);
+        // `gemm` picks naive or SIMD from the shape alone; either way the
+        // result from c = 0 is the naive result.
+        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.59).sin()).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.23).cos()).collect();
+        let mut c0 = vec![0.0f32; m * n];
+        let mut c1 = vec![0.0f32; m * n];
+        gemm_naive(ta, tb, m, n, k, &a, &b, &mut c0);
+        gemm(ta, tb, m, n, k, &a, &b, &mut c1);
+        prop_assert_eq!(&c0, &c1);
     }
 
     #[test]
@@ -148,7 +150,7 @@ proptest! {
     }
 
     #[test]
-    fn simd_matches_tiled_bitwise_all_variants_nonzero_c(
+    fn simd_matches_reference_bitwise_all_variants_nonzero_c(
         m in 1..40usize,
         n in 1..40usize,
         k in 1..40usize,
@@ -156,14 +158,14 @@ proptest! {
         tb in any::<bool>(),
     ) {
         // Unlike the naive comparison (which needs c = 0 or tb = false),
-        // SIMD vs tiled is bit-identical unconditionally: same per-element
-        // order, vector lanes are independent columns.
+        // SIMD vs the scalar oracle is bit-identical unconditionally: same
+        // per-element order, vector lanes are independent columns.
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.83).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
         let seed_c: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.13).tan().clamp(-3.0, 3.0)).collect();
         let mut c0 = seed_c.clone();
         let mut c1 = seed_c;
-        gemm_tiled(ta, tb, m, n, k, &a, &b, &mut c0);
+        gemm_reference(ta, tb, m, n, k, &a, &b, &mut c0);
         gemm_simd(ta, tb, m, n, k, &a, &b, &mut c1);
         prop_assert_eq!(&c0, &c1);
     }

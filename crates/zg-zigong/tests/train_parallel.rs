@@ -149,35 +149,6 @@ proptest! {
     }
 }
 
-/// The tensor engine's op fast paths (sliced broadcast kernels,
-/// dead-gradient GEMM skip, run-copy permute) must be bit-transparent to
-/// training: a full serial SFT run with them pinned off reproduces the
-/// default run's losses and weights exactly.
-#[test]
-fn op_fast_paths_bit_transparent_in_training() {
-    let examples = toy_examples(12);
-    let tok = train_tokenizer(&examples, 300);
-    let samples = tokenize_all(&tok, &examples, 48);
-    let cfg = cfg_with(4, 2, 1);
-
-    let run = |fast: bool| {
-        let prev = zg_tensor::set_op_fast_paths(fast);
-        let lm = toy_lm(tok.vocab_size(), 21);
-        let report = train_sft(&lm, &samples, &cfg, TrainOrder::Shuffled, 33);
-        let weights: Vec<Vec<f32>> = lm
-            .trainable_params()
-            .into_iter()
-            .map(|(_, p)| p.data().to_vec())
-            .collect();
-        zg_tensor::set_op_fast_paths(prev);
-        (report.losses, weights)
-    };
-    let reference = run(false);
-    let optimized = run(true);
-    assert_eq!(reference.0, optimized.0, "losses diverged");
-    assert_eq!(reference.1, optimized.1, "weights diverged");
-}
-
 #[test]
 fn profiled_run_matches_unprofiled_bitwise() {
     let examples = toy_examples(12);
