@@ -214,8 +214,9 @@ impl Replica {
     fn serve_score(&mut self, prompt: &str, negative: &str, positive: &str) -> Reply {
         let _span = zg_trace::span("serve.score");
         let _leak = zg_tensor::GraphLeakGuard::new("ZiGongEngine::serve_score");
-        let p_ans = self.model.prompt_ids(prompt, ANSWER_TOKENS);
-        let p_score = self.model.prompt_ids(prompt, SCORE_RESERVE);
+        let ids = self.model.tokenizer.encode(prompt);
+        let p_ans = self.model.prompt_window(&ids, ANSWER_TOKENS);
+        let p_score = self.model.prompt_window(&ids, SCORE_RESERVE);
         if p_ans != p_score {
             // Truncation split the budgets; fall back to the offline
             // evaluator's independent answer/score paths verbatim.

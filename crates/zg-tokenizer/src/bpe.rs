@@ -1,12 +1,35 @@
 //! Byte-level BPE: merge training, encoding, and decoding.
 //!
-//! Training follows the classic algorithm: start from raw bytes, repeatedly
-//! merge the most frequent adjacent pair (deterministic tie-break on the
-//! pair itself) until the target vocabulary size is reached. Encoding
-//! replays merges by rank. Everything round-trips losslessly because the
-//! base alphabet is all 256 bytes.
+//! Merge `rank` produces token `first_merge_id() + rank`, and every merge
+//! `(a, b) -> id` has `a, b < id`: training only merges tokens that
+//! already exist, and loading rejects any other list. Both fast loops
+//! below rest on this id-ordering invariant. Everything round-trips
+//! losslessly because the base alphabet is all 256 bytes.
+//!
+//! **Training** follows the classic algorithm: start from raw bytes and
+//! repeatedly merge the most frequent adjacent pair (count ≥ 2; ties go to
+//! the smallest pair) until the target vocabulary size is reached. The
+//! windows are counted once. Each merge then applies only the count
+//! changes at its sites: the window to the left, the pair itself and the
+//! window to the right leave, `(left, new)` and `(new, right)` arrive. The
+//! left neighbour is read from the output already written, so adjacent
+//! sites (`abab`) and overlapping runs (`aaa`) stay exact. A lazy max-heap
+//! over `(count, pair)` finds the next merge; an entry whose count is no
+//! longer current is skipped.
+//!
+//! **Encoding** keeps the bytes in a linked list and a min-heap of
+//! candidate merges keyed by `(merged id, position)`. A popped entry is
+//! applied if its pair still sits at that position; after a merge only
+//! the two new neighbour pairs are pushed. A merge creates only pairs
+//! that contain its own id, and those merge into larger ids, so popping
+//! by `(id, position)` applies the lowest-rank merge first and each rank
+//! left to right without overlaps: the same ids as replaying the merge
+//! list rank by rank over the whole sequence.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,70 +37,154 @@ use crate::vocab::{byte_token, first_merge_id, Special};
 
 /// A trained byte-level BPE tokenizer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "MergeList")]
 pub struct BpeTokenizer {
     /// Learned merges in rank order: merging `(a, b)` yields token
     /// `first_merge_id() + rank`.
     merges: Vec<(u32, u32)>,
-    /// Reverse map for fast encode: pair -> merged id.
+    /// Pair -> merged id, built from `merges`. Lookup only, never iterated.
     #[serde(skip)]
-    merge_map: BTreeMap<(u32, u32), u32>,
+    merge_ids: HashMap<(u32, u32), u32>,
 }
+
+/// The serialized form of a tokenizer: its merge list.
+#[derive(Deserialize)]
+struct MergeList {
+    merges: Vec<(u32, u32)>,
+}
+
+/// Why a merge list is not a valid tokenizer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeError {
+    /// Merge `rank` uses a token id that does not exist before it (an id
+    /// at or above its own).
+    ForwardReference {
+        /// Position of the merge in the list.
+        rank: usize,
+        /// The offending pair.
+        pair: (u32, u32),
+    },
+    /// Merge `rank` repeats the pair of an earlier merge.
+    Duplicate {
+        /// Position of the merge in the list.
+        rank: usize,
+        /// The repeated pair.
+        pair: (u32, u32),
+    },
+}
+
+impl fmt::Display for MergeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            MergeError::ForwardReference { rank, pair } => write!(
+                f,
+                "merge {rank} {pair:?} uses a token id not below its own id {}",
+                first_merge_id() as u64 + rank as u64
+            ),
+            MergeError::Duplicate { rank, pair } => {
+                write!(f, "merge {rank} {pair:?} repeats an earlier merge")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
+impl TryFrom<MergeList> for BpeTokenizer {
+    type Error = MergeError;
+
+    fn try_from(list: MergeList) -> Result<Self, MergeError> {
+        BpeTokenizer::from_merges(list.merges)
+    }
+}
+
+/// Marks an encode position merged into its left neighbour. No valid
+/// merge pair contains it (pairs hold ids below their own merged id).
+const DEAD: u32 = u32::MAX;
+
+/// End of the encode linked list.
+const NONE: usize = usize::MAX;
 
 impl BpeTokenizer {
     /// Tokenizer with no merges: pure byte-level encoding.
     pub fn byte_level() -> Self {
-        BpeTokenizer {
-            merges: Vec::new(),
-            merge_map: BTreeMap::new(),
+        BpeTokenizer::with_merges(Vec::new())
+    }
+
+    /// Tokenizer over an explicit merge list, checked: every merge must
+    /// use only ids below its own, and no pair may repeat.
+    pub fn from_merges(merges: Vec<(u32, u32)>) -> Result<Self, MergeError> {
+        let mut tok = BpeTokenizer::with_merges(Vec::new());
+        for (rank, &pair) in merges.iter().enumerate() {
+            let id = first_merge_id() as u64 + rank as u64;
+            if pair.0 as u64 >= id || pair.1 as u64 >= id {
+                return Err(MergeError::ForwardReference { rank, pair });
+            }
+            if tok.merge_ids.insert(pair, id as u32).is_some() {
+                return Err(MergeError::Duplicate { rank, pair });
+            }
         }
+        tok.merges = merges;
+        Ok(tok)
+    }
+
+    /// Tokenizer over a merge list that is valid by construction.
+    fn with_merges(merges: Vec<(u32, u32)>) -> Self {
+        let merge_ids = merges
+            .iter()
+            .enumerate()
+            .map(|(rank, &pair)| (pair, first_merge_id() + rank as u32))
+            .collect();
+        BpeTokenizer { merges, merge_ids }
     }
 
     /// Train merges from a corpus until the vocabulary reaches `vocab_size`
     /// (specials + 256 bytes + merges), or no pair repeats.
     pub fn train(corpus: &[&str], vocab_size: usize) -> Self {
-        let base = first_merge_id() as usize;
-        let target_merges = vocab_size.saturating_sub(base);
+        let target_merges = vocab_size.saturating_sub(first_merge_id() as usize);
         let mut seqs: Vec<Vec<u32>> = corpus
             .iter()
             .map(|s| s.bytes().map(byte_token).collect())
             .collect();
-        let mut merges = Vec::with_capacity(target_merges);
-        for rank in 0..target_merges {
-            // Count adjacent pairs across the whole corpus.
-            let mut counts: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-            for seq in &seqs {
-                for w in seq.windows(2) {
-                    *counts.entry((w[0], w[1])).or_insert(0) += 1;
-                }
-            }
-            // Most frequent pair; deterministic tie-break on the pair value.
-            let best = counts
-                .into_iter()
-                .filter(|&(_, c)| c >= 2)
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
-            let Some((pair, _)) = best else { break };
-            let new_id = (base + rank) as u32;
-            merges.push(pair);
-            for seq in &mut seqs {
-                merge_in_place(seq, pair, new_id);
+        let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
+        for seq in &seqs {
+            for w in seq.windows(2) {
+                *counts.entry((w[0], w[1])).or_insert(0) += 1;
             }
         }
-        let mut tok = BpeTokenizer {
-            merges,
-            merge_map: BTreeMap::new(),
-        };
-        tok.rebuild_merge_map();
-        tok
+        // Max-heap on count, then on the smallest pair. Pairs are distinct,
+        // so the pop order does not depend on the map's iteration order.
+        let mut heap: BinaryHeap<(usize, Reverse<(u32, u32)>)> =
+            counts.iter().map(|(&p, &c)| (c, Reverse(p))).collect();
+        let mut merges = Vec::with_capacity(target_merges);
+        let mut touched = Vec::new();
+        while merges.len() < target_merges {
+            let Some(pair) = pop_best(&mut heap, &counts) else {
+                break;
+            };
+            let new_id = first_merge_id() + merges.len() as u32;
+            merges.push(pair);
+            let mut delta = CountDelta {
+                counts: &mut counts,
+                touched: &mut touched,
+            };
+            for seq in &mut seqs {
+                merge_counting(seq, pair, new_id, &mut delta);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for p in touched.drain(..) {
+                if let Some(&c) = counts.get(&p) {
+                    heap.push((c, Reverse(p)));
+                }
+            }
+        }
+        BpeTokenizer::with_merges(merges)
     }
 
-    /// Rebuild the pair→id lookup (needed after deserialization).
-    pub fn rebuild_merge_map(&mut self) {
-        self.merge_map = self
-            .merges
-            .iter()
-            .enumerate()
-            .map(|(rank, &pair)| (pair, first_merge_id() + rank as u32))
-            .collect();
+    /// Learned merges in rank order.
+    pub fn merges(&self) -> &[(u32, u32)] {
+        &self.merges
     }
 
     /// Total vocabulary size: specials + bytes + merges.
@@ -93,24 +200,45 @@ impl BpeTokenizer {
     /// Encode text to token ids (no specials added).
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut seq: Vec<u32> = text.bytes().map(byte_token).collect();
-        if self.merges.is_empty() || seq.len() < 2 {
+        let n = seq.len();
+        if self.merges.is_empty() || n < 2 {
             return seq;
         }
-        // Repeatedly apply the lowest-rank (earliest-learned) applicable
-        // merge, mirroring training order.
-        loop {
-            let mut best: Option<(u32, usize)> = None; // (merged_id, position)
-            for (i, w) in seq.windows(2).enumerate() {
-                if let Some(&id) = self.merge_map.get(&(w[0], w[1])) {
-                    if best.is_none_or(|(bid, _)| id < bid) {
-                        best = Some((id, i));
-                    }
+        let mut prev: Vec<usize> = [NONE].into_iter().chain(0..n - 1).collect();
+        let mut next: Vec<usize> = (1..n).chain([NONE]).collect();
+        let mut heap: BinaryHeap<Reverse<(u32, usize)>> = seq
+            .windows(2)
+            .enumerate()
+            .filter_map(|(i, w)| {
+                self.merge_ids
+                    .get(&(w[0], w[1]))
+                    .map(|&id| Reverse((id, i)))
+            })
+            .collect();
+        while let Some(Reverse((id, i))) = heap.pop() {
+            let j = next[i];
+            // Stale entry: position `i` was merged away or its pair changed.
+            if j == NONE || self.merges[(id - first_merge_id()) as usize] != (seq[i], seq[j]) {
+                continue;
+            }
+            seq[i] = id;
+            seq[j] = DEAD;
+            let k = next[j];
+            next[i] = k;
+            if k != NONE {
+                prev[k] = i;
+                if let Some(&m) = self.merge_ids.get(&(id, seq[k])) {
+                    heap.push(Reverse((m, i)));
                 }
             }
-            let Some((id, _)) = best else { break };
-            let pair = self.merges[(id - first_merge_id()) as usize];
-            merge_in_place(&mut seq, pair, id);
+            let h = prev[i];
+            if h != NONE {
+                if let Some(&m) = self.merge_ids.get(&(seq[h], id)) {
+                    heap.push(Reverse((m, h)));
+                }
+            }
         }
+        seq.retain(|&t| t != DEAD);
         seq
     }
 
@@ -159,20 +287,72 @@ impl BpeTokenizer {
         serde_json::to_string(self).expect("tokenizer serializes")
     }
 
-    /// Deserialize from JSON (rebuilds the merge lookup).
+    /// Deserialize from JSON. A merge list that breaks the id-ordering
+    /// invariant or repeats a pair is an error (see [`MergeError`]).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut tok: BpeTokenizer = serde_json::from_str(json)?;
-        tok.rebuild_merge_map();
-        Ok(tok)
+        serde_json::from_str(json)
     }
 }
 
-/// Replace every adjacent occurrence of `pair` with `new_id`, in place.
-fn merge_in_place(seq: &mut Vec<u32>, pair: (u32, u32), new_id: u32) {
+/// The highest pair count still current in `heap`, if it is at least 2.
+/// Entries whose count has changed since they were pushed are dropped.
+fn pop_best(
+    heap: &mut BinaryHeap<(usize, Reverse<(u32, u32)>)>,
+    counts: &HashMap<(u32, u32), usize>,
+) -> Option<(u32, u32)> {
+    while let Some((c, Reverse(pair))) = heap.pop() {
+        if counts.get(&pair) == Some(&c) {
+            return (c >= 2).then_some(pair);
+        }
+    }
+    None
+}
+
+/// Window counts being updated by one merge, and the pairs it touched.
+struct CountDelta<'a> {
+    counts: &'a mut HashMap<(u32, u32), usize>,
+    touched: &'a mut Vec<(u32, u32)>,
+}
+
+impl CountDelta<'_> {
+    fn add(&mut self, pair: (u32, u32)) {
+        *self.counts.entry(pair).or_insert(0) += 1;
+        self.touched.push(pair);
+    }
+
+    fn sub(&mut self, pair: (u32, u32)) {
+        if let Entry::Occupied(mut e) = self.counts.entry(pair) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+        self.touched.push(pair);
+    }
+}
+
+/// Replace every occurrence of `pair` in `seq` with `new_id`, left to
+/// right without overlaps, applying the window-count changes of each site
+/// to `delta`.
+fn merge_counting(seq: &mut Vec<u32>, pair: (u32, u32), new_id: u32, delta: &mut CountDelta) {
+    let (a, b) = pair;
+    let n = seq.len();
     let mut write = 0usize;
     let mut read = 0usize;
-    while read < seq.len() {
-        if read + 1 < seq.len() && seq[read] == pair.0 && seq[read + 1] == pair.1 {
+    while read < n {
+        if read + 1 < n && seq[read] == a && seq[read + 1] == b {
+            if write > 0 {
+                // Already rewritten: an earlier site here reads as `new_id`.
+                let left = seq[write - 1];
+                delta.sub((left, a));
+                delta.add((left, new_id));
+            }
+            delta.sub(pair);
+            if read + 2 < n {
+                let right = seq[read + 2];
+                delta.sub((b, right));
+                delta.add((new_id, right));
+            }
             seq[write] = new_id;
             read += 2;
         } else {
@@ -193,20 +373,6 @@ mod tests {
         let tok = BpeTokenizer::byte_level();
         let text = "hello, 世界! 0.42";
         assert_eq!(tok.decode(&tok.encode(text)), text);
-    }
-
-    #[test]
-    fn merge_in_place_basic() {
-        let mut seq = vec![1, 2, 1, 2, 3, 1];
-        merge_in_place(&mut seq, (1, 2), 9);
-        assert_eq!(seq, vec![9, 9, 3, 1]);
-    }
-
-    #[test]
-    fn merge_in_place_overlapping_left_to_right() {
-        let mut seq = vec![1, 1, 1];
-        merge_in_place(&mut seq, (1, 1), 9);
-        assert_eq!(seq, vec![9, 1]);
     }
 
     #[test]
@@ -264,6 +430,50 @@ mod tests {
         let back = BpeTokenizer::from_json(&json).unwrap();
         assert_eq!(tok.encode("the quick"), back.encode("the quick"));
         assert_eq!(tok.vocab_size(), back.vocab_size());
+    }
+
+    #[test]
+    fn loading_rejects_merges_that_reference_missing_ids() {
+        // Merge 0 (id 260) would merge itself; 9000 does not exist yet.
+        let err = BpeTokenizer::from_json(r#"{"merges":[[260,5],[9000,7]]}"#).unwrap_err();
+        assert!(err.to_string().contains("merge 0 (260, 5)"), "{err}");
+        assert_eq!(
+            BpeTokenizer::from_merges(vec![(5, 6), (9000, 7)]).unwrap_err(),
+            MergeError::ForwardReference {
+                rank: 1,
+                pair: (9000, 7)
+            }
+        );
+        assert_eq!(
+            BpeTokenizer::from_merges(vec![(5, 6), (5, 6)]).unwrap_err(),
+            MergeError::Duplicate {
+                rank: 1,
+                pair: (5, 6)
+            }
+        );
+        let ok = BpeTokenizer::from_merges(vec![(5, 6), (260, 260)]).unwrap();
+        assert_eq!(ok.decode(&[261]), "\u{1}\u{2}\u{1}\u{2}");
+    }
+
+    #[test]
+    fn deserializing_inside_another_struct_builds_the_lookup() {
+        #[derive(Deserialize)]
+        struct Holder {
+            tok: BpeTokenizer,
+        }
+        let h: Holder = serde_json::from_str(r#"{"tok":{"merges":[[5,6]]}}"#).unwrap();
+        assert_eq!(h.tok.encode("\u{1}\u{2}"), vec![first_merge_id()]);
+        assert!(serde_json::from_str::<Holder>(r#"{"tok":{"merges":[[5,260]]}}"#).is_err());
+    }
+
+    #[test]
+    fn encode_merges_runs_left_to_right() {
+        // a=5 (byte 1). Merges: (a,a)->260, (260,a)->261.
+        let tok = BpeTokenizer::from_merges(vec![(5, 5), (260, 5)]).unwrap();
+        let run = |n: usize| "\u{1}".repeat(n);
+        assert_eq!(tok.encode(&run(3)), vec![261]);
+        assert_eq!(tok.encode(&run(4)), vec![260, 260]);
+        assert_eq!(tok.encode(&run(5)), vec![260, 261]);
     }
 
     #[test]

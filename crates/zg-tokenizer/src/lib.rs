@@ -18,5 +18,5 @@
 mod bpe;
 mod vocab;
 
-pub use bpe::BpeTokenizer;
+pub use bpe::{BpeTokenizer, MergeError};
 pub use vocab::{byte_token, first_merge_id, Special, NUM_SPECIALS};

@@ -133,7 +133,12 @@ impl ZiGongModel {
     /// Encode a prompt with BOS, left-truncating to leave `reserve` tokens
     /// of headroom.
     pub fn prompt_ids(&self, prompt: &str, reserve: usize) -> Vec<u32> {
-        let ids = self.tokenizer.encode(prompt);
+        self.prompt_window(&self.tokenizer.encode(prompt), reserve)
+    }
+
+    /// [`prompt_ids`](Self::prompt_ids) over an already encoded prompt:
+    /// BOS plus the last `ids` that leave `reserve` tokens of headroom.
+    pub fn prompt_window(&self, ids: &[u32], reserve: usize) -> Vec<u32> {
         let budget = self.max_seq_len.saturating_sub(reserve + 1).max(1);
         let start = ids.len().saturating_sub(budget);
         let mut out = Vec::with_capacity(budget + 1);
@@ -186,8 +191,9 @@ impl ZiGongModel {
         // Debug-mode sanitizer: one eval item must not leave autograd tape
         // nodes behind (the eval loop runs thousands of items).
         let _leak = zg_tensor::GraphLeakGuard::new("ZiGongModel::evaluate_item");
-        let p_ans = self.prompt_ids(&item.example.prompt, ANSWER_TOKENS);
-        let p_score = self.prompt_ids(&item.example.prompt, SCORE_RESERVE);
+        let ids = self.tokenizer.encode(&item.example.prompt);
+        let p_ans = self.prompt_window(&ids, ANSWER_TOKENS);
+        let p_score = self.prompt_window(&ids, SCORE_RESERVE);
         if p_ans != p_score {
             return (
                 self.generate_answer(&item.example.prompt, ANSWER_TOKENS),
